@@ -1,6 +1,6 @@
 """Compare benchmark artifacts against their committed baselines / gates.
 
-Three artifacts are guarded:
+Two artifacts are guarded:
 
 * ``BENCH_engine.json`` — records, per (workload, problem, algorithm), the
   engine's speedup over the naive per-pattern counting path measured *on the
@@ -12,12 +12,6 @@ Three artifacts are guarded:
   also records the compiled-kernel vs numpy-kernel ratio, gated at
   ``COMPILED_TARGET_SPEEDUP`` on the IterTD k-sweeps (skipped — recorded as
   ``null`` — when numba is absent).
-* ``BENCH_scaling.json`` (schema 2+) — gated on the thread backend's structural
-  guarantees, which hold on any machine including single-core CI boxes: every
-  ``backend="thread"`` entry must report zero shared-memory publications and
-  zero process spawns, and total CPU within the artifact's recorded parity
-  tolerance of the serial baseline.  Wall-clock speedups stay advisory (they
-  are core-count-bound).
 * ``BENCH_planner.json`` (schema 3) — records the query planner's per-query-loop
   vs planner-served comparison.  Its gates are *counters*, not ratios
   (bit-identical results, strictly fewer root searches and batch evaluations,
@@ -26,13 +20,12 @@ Three artifacts are guarded:
   observed on both the prefix and suffix side), so they are machine-independent
   by construction and checked exactly.
 
-A missing planner or scaling artifact is skipped with a note — the engine-only
+A missing planner artifact is skipped with a note — the engine-only
 workflow stays usable.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py     # regenerate
-    PYTHONPATH=src python benchmarks/bench_scaling_rows.py          # regenerate
     PYTHONPATH=src python benchmarks/bench_query_planner.py         # regenerate
     python benchmarks/check_regression.py                           # compare
 
@@ -51,7 +44,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CURRENT = REPO_ROOT / "BENCH_engine.json"
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_engine_baseline.json"
 DEFAULT_PLANNER = REPO_ROOT / "BENCH_planner.json"
-DEFAULT_SCALING = REPO_ROOT / "BENCH_scaling.json"
 
 #: Maximum tolerated relative drop in the engine-vs-naive speedup.
 DEFAULT_TOLERANCE = 0.20
@@ -135,49 +127,6 @@ def check_regression(
                 f"{compiled_min:.2f}x < {COMPILED_TARGET_SPEEDUP:.1f}x on the "
                 "IterTD k-sweeps"
             )
-    return problems
-
-
-def check_scaling(current: dict) -> list[str]:
-    """Gate failures of a ``BENCH_scaling.json`` artifact (empty when it passes).
-
-    Only the thread backend's structural guarantees are gated — zero IPC and
-    total-CPU parity with serial — because they hold regardless of core count.
-    Pre-backend artifacts (schema 1) carry no thread entries and are skipped by
-    the caller.
-    """
-    problems: list[str] = []
-    thread_entries = [
-        entry for entry in current.get("entries", [])
-        if entry.get("backend") == "thread"
-    ]
-    if not thread_entries:
-        return ["scaling artifact has no thread-backend entries"]
-    for entry in thread_entries:
-        where = (
-            f"rows={entry.get('n_rows')} attrs={entry.get('n_attributes')} "
-            f"workers={entry.get('workers')}"
-        )
-        if entry.get("shm_publishes", 0) != 0 or entry.get("pool_spawns", 0) != 0:
-            problems.append(
-                f"thread entry {where}: published shared memory or spawned "
-                f"processes (shm_publishes={entry.get('shm_publishes')}, "
-                f"pool_spawns={entry.get('pool_spawns')})"
-            )
-        if entry.get("thread_pool_spawns", 0) < 1:
-            problems.append(
-                f"thread entry {where}: no thread pool was spawned — the run "
-                "fell back to the serial path"
-            )
-    thread_summary = (current.get("summary") or {}).get("thread_backend") or {}
-    if thread_summary.get("zero_ipc") is not True:
-        problems.append("scaling summary does not confirm thread-backend zero IPC")
-    if thread_summary.get("cpu_parity_ok") is not True:
-        problems.append(
-            f"thread backend total CPU not at parity with serial: max ratio "
-            f"{thread_summary.get('cpu_ratio_max')!r} exceeds 1 + "
-            f"{thread_summary.get('cpu_parity_tolerance')!r}"
-        )
     return problems
 
 
@@ -275,10 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--planner", type=Path, default=DEFAULT_PLANNER,
                         help="planner artifact to gate (skipped, with a note, "
                              "when the file does not exist)")
-    parser.add_argument("--scaling", type=Path, default=DEFAULT_SCALING,
-                        help="scaling artifact to gate on the thread backend's "
-                             "zero-IPC and CPU-parity guarantees (skipped, with "
-                             "a note, when missing or pre-backend schema)")
     args = parser.parse_args(argv)
 
     if not args.current.exists():
@@ -295,19 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"planner artifact {args.planner} not found; skipping the planner "
               "gates (run bench_query_planner.py to produce it)")
-    scaling_gated = False
-    if args.scaling.exists():
-        scaling = load_artifact(args.scaling)
-        if scaling.get("schema_version", 1) >= 2:
-            problems.extend(check_scaling(scaling))
-            scaling_gated = True
-        else:
-            print(f"scaling artifact {args.scaling} predates the backend "
-                  "dimension; skipping the thread-backend gates (rerun "
-                  "bench_scaling_rows.py to refresh it)")
-    else:
-        print(f"scaling artifact {args.scaling} not found; skipping the "
-              "thread-backend gates (run bench_scaling_rows.py to produce it)")
     if problems:
         print("benchmark regression check FAILED:")
         for problem in problems:
@@ -316,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"throughput regression check passed (tolerance {args.tolerance:.0%})")
     if args.planner.exists():
         print("planner gates passed (bit-identical, strictly fewer searches/batches)")
-    if scaling_gated:
-        print("scaling gates passed (thread backend: zero IPC, CPU parity with serial)")
     return 0
 
 

@@ -11,6 +11,7 @@ The pure-logic tests of ``check_regression`` below are cheap and run everywhere.
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -18,8 +19,8 @@ from benchmarks.bench_engine_throughput import run_benchmarks
 from benchmarks.check_regression import (
     DEFAULT_BASELINE,
     check_regression,
-    check_scaling,
     load_artifact,
+    main,
 )
 
 
@@ -76,53 +77,35 @@ class TestCheckRegressionLogic:
         assert check_regression(current, self.BASELINE) == []
 
 
-class TestCheckScalingLogic:
-    def _artifact(self, **thread_overrides):
-        thread_entry = {
-            "n_rows": 10_000, "n_attributes": 5, "workers": 2, "backend": "thread",
-            "cpu_ratio": 1.05, "shm_publishes": 0, "pool_spawns": 0,
-            "thread_pool_spawns": 1,
-        }
-        thread_entry.update(thread_overrides)
-        return {
-            "schema_version": 2,
-            "entries": [
-                {"n_rows": 10_000, "n_attributes": 5, "workers": 1,
-                 "backend": "serial", "cpu_ratio": 1.0, "shm_publishes": 0,
-                 "pool_spawns": 0, "thread_pool_spawns": 0},
-                thread_entry,
-            ],
-            "summary": {
-                "thread_backend": {
-                    "entries": 1,
-                    "zero_ipc": thread_entry["shm_publishes"] == 0
-                    and thread_entry["pool_spawns"] == 0,
-                    "cpu_ratio_max": thread_entry["cpu_ratio"],
-                    "cpu_parity_tolerance": 0.35,
-                    "cpu_parity_ok": thread_entry["cpu_ratio"] <= 1.35,
-                }
-            },
-        }
+class TestCheckRegressionMain:
+    """Exit codes of the CLI: 0 pass, 1 regression, 2 missing artifact."""
 
-    def test_clean_artifact_passes(self):
-        assert check_scaling(self._artifact()) == []
+    BASELINE = TestCheckRegressionLogic.BASELINE
 
-    def test_missing_thread_entries_fail(self):
-        artifact = self._artifact()
-        artifact["entries"] = [e for e in artifact["entries"] if e["backend"] != "thread"]
-        assert check_scaling(artifact) == ["scaling artifact has no thread-backend entries"]
+    def _write(self, path, artifact) -> str:
+        path.write_text(json.dumps(artifact))
+        return str(path)
 
-    def test_ipc_leak_fails(self):
-        problems = check_scaling(self._artifact(shm_publishes=1))
-        assert any("published shared memory" in problem for problem in problems)
+    def _argv(self, tmp_path, current) -> list[str]:
+        return [
+            "--current", self._write(tmp_path / "current.json", current),
+            "--baseline", self._write(tmp_path / "baseline.json", self.BASELINE),
+            "--planner", str(tmp_path / "no_planner.json"),
+        ]
 
-    def test_serial_fallback_fails(self):
-        problems = check_scaling(self._artifact(thread_pool_spawns=0))
-        assert any("fell back to the serial path" in problem for problem in problems)
+    def test_unchanged_artifact_passes(self, tmp_path):
+        assert main(self._argv(tmp_path, copy.deepcopy(self.BASELINE))) == 0
 
-    def test_cpu_parity_violation_fails(self):
-        problems = check_scaling(self._artifact(cpu_ratio=2.0))
-        assert any("not at parity" in problem for problem in problems)
+    def test_regression_exits_1(self, tmp_path, capsys):
+        current = copy.deepcopy(self.BASELINE)
+        current["workloads"][0]["speedup"] = 3.0  # -25% vs 4.0
+        assert main(self._argv(tmp_path, current)) == 1
+        assert "w/global/IterTD" in capsys.readouterr().out
+
+    def test_missing_current_artifact_exits_2(self, tmp_path):
+        argv = self._argv(tmp_path, self.BASELINE)
+        argv[1] = str(tmp_path / "absent.json")
+        assert main(argv) == 2
 
 
 @pytest.mark.bench_smoke

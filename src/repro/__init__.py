@@ -30,7 +30,6 @@ from repro.core import (
     PropBoundsDetector,
     ProportionalBoundSpec,
     QueryPlan,
-    ResultCache,
     ResultStore,
     detect_biased_groups,
     plan_queries,
@@ -65,7 +64,6 @@ __all__ = [
     "DetectionReport",
     "DetectionResult",
     "QueryPlan",
-    "ResultCache",
     "ResultStore",
     "InMemoryResultStore",
     "DiskResultStore",

@@ -1,24 +1,23 @@
 """RL001 — SearchStats completeness across merge, serde, and snapshot paths.
 
 ``SearchStats`` is the single aggregation point for every counter the engine
-exposes, and history shows how it drifts: a new counter field is added, the
-reflection-based ``absorb`` picks it up for free — and the hand-written
-``as_dict`` dict literal, the ``stats_from_dict`` float special-case, or the
-engine's snapshot→``publish_stats`` hop silently drops it.  The counter then
-reads zero in persisted sweep results while looking perfectly healthy in unit
-tests that only exercise in-memory objects.
+exposes, and history shows how it drifts: a new counter field is added and a
+hand-rolled merge, the ``extra`` side table's serialisation, or the engine's
+snapshot→``publish_stats`` hop silently drops it.  The counter then reads zero
+in persisted sweep results while looking perfectly healthy in unit tests that
+only exercise in-memory objects.  (``as_dict`` and ``stats_from_dict`` read
+``STATS_FIELDS``, a tuple of field names and types reflected from the class
+once at import, so they cannot drift; a JSON round-trip test in
+``tests/core/test_stats.py`` covers them.)
 
-The rule collects four anchors while the driver feeds it files, then compares
+The rule collects its anchors while the driver feeds it files, then compares
 them in :meth:`finalize`:
 
-* the ``SearchStats`` class definition — field names, annotations, and which
-  fields carry a same-line ``# repro-lint: disable=RL001`` exemption;
+* the ``SearchStats`` class definition — field names and which fields carry a
+  same-line ``# repro-lint: disable=RL001`` exemption;
 * ``SearchStats.absorb`` — must be reflection-based (a ``fields(...)`` call)
   or name every field;
-* ``SearchStats.as_dict`` and the module-level ``stats_from_dict`` — every
-  field name must appear as a string key, ``as_dict`` must fold in
-  ``self.extra``, and every float-annotated field must be named in
-  ``stats_from_dict``'s type dispatch;
+* ``SearchStats.as_dict`` — must fold in ``self.extra``;
 * ``CountingEngine.snapshot`` and ``publish_stats`` — every key the snapshot
   emits must be consumed (as a string constant) by ``publish_stats``.
 
@@ -73,9 +72,9 @@ class StatsCompletenessRule(Rule):
     code = "RL001"
     name = "stats-completeness"
     description = (
-        "every SearchStats counter field must survive absorb, as_dict/"
-        "stats_from_dict, and the snapshot→publish_stats path (or carry an "
-        "explicit RL001 exemption on its definition line)"
+        "every SearchStats counter field must survive absorb, as_dict must "
+        "fold in the extra counters, and every engine snapshot key must reach "
+        "publish_stats (or carry an explicit RL001 exemption)"
     )
 
     #: Fields that are bookkeeping rather than counters; ``extra`` is the
@@ -86,7 +85,6 @@ class StatsCompletenessRule(Rule):
         self._stats_class: _Anchor | None = None
         self._absorb: _Anchor | None = None
         self._as_dict: _Anchor | None = None
-        self._from_dict: _Anchor | None = None
         self._snapshot: _Anchor | None = None
         self._publish: _Anchor | None = None
 
@@ -103,11 +101,8 @@ class StatsCompletenessRule(Rule):
                             self._absorb = _Anchor(source, item)
                         elif item.name == "as_dict":
                             self._as_dict = _Anchor(source, item)
-            elif isinstance(node, ast.FunctionDef):
-                if node.name == "stats_from_dict":
-                    self._from_dict = _Anchor(source, node)
-                elif node.name == "publish_stats":
-                    self._publish = _Anchor(source, node)
+            elif isinstance(node, ast.FunctionDef) and node.name == "publish_stats":
+                self._publish = _Anchor(source, node)
             elif isinstance(node, ast.ClassDef) and node.name == "CountingEngine":
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and item.name == "snapshot":
@@ -115,22 +110,16 @@ class StatsCompletenessRule(Rule):
         return ()
 
     # -- field extraction ------------------------------------------------------
-    def _fields(self) -> list[tuple[str, str | None, int]]:
-        """``(name, annotation, line)`` for every SearchStats field."""
+    def _fields(self) -> list[tuple[str, int]]:
+        """``(name, line)`` for every SearchStats field."""
         assert self._stats_class is not None
-        collected: list[tuple[str, str | None, int]] = []
-        for item in self._stats_class.node.body:
-            if not isinstance(item, ast.AnnAssign):
-                continue
-            if not isinstance(item.target, ast.Name):
-                continue
-            annotation = None
-            if isinstance(item.annotation, ast.Name):
-                annotation = item.annotation.id
-            collected.append((item.target.id, annotation, item.lineno))
-        return collected
+        return [
+            (item.target.id, item.lineno)
+            for item in self._stats_class.node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
 
-    def _exempt(self, name: str, line: int) -> bool:
+    def _exempt(self, line: int) -> bool:
         """Whether the field opted out on its definition line (consumes RL005 credit)."""
         assert self._stats_class is not None
         return self._stats_class.source.is_suppressed(line, self.code)
@@ -140,18 +129,15 @@ class StatsCompletenessRule(Rule):
         if self._stats_class is None:
             return
         fields = [
-            (name, annotation, line)
-            for name, annotation, line in self._fields()
+            (name, line)
+            for name, line in self._fields()
             if name not in self.STRUCTURAL_FIELDS
         ]
         yield from self._check_absorb(fields)
-        yield from self._check_as_dict(fields)
-        yield from self._check_from_dict(fields)
+        yield from self._check_as_dict_folds_extra()
         yield from self._check_snapshot_path()
 
-    def _check_absorb(
-        self, fields: list[tuple[str, str | None, int]]
-    ) -> Iterator[Finding]:
+    def _check_absorb(self, fields: list[tuple[str, int]]) -> Iterator[Finding]:
         if self._absorb is None:
             return
         if _calls_fields(self._absorb.node):
@@ -162,10 +148,10 @@ class StatsCompletenessRule(Rule):
             for node in ast.walk(self._absorb.node)
             if isinstance(node, ast.Attribute)
         }
-        for name, _annotation, line in fields:
+        for name, line in fields:
             if name in named or name in mentioned:
                 continue
-            if self._exempt(name, line):
+            if self._exempt(line):
                 continue
             yield self.finding(
                 self._absorb.source,
@@ -175,25 +161,9 @@ class StatsCompletenessRule(Rule):
                 "fields() reflection or add the field explicitly",
             )
 
-    def _check_as_dict(
-        self, fields: list[tuple[str, str | None, int]]
-    ) -> Iterator[Finding]:
+    def _check_as_dict_folds_extra(self) -> Iterator[Finding]:
         if self._as_dict is None:
             return
-        keys = _string_constants(self._as_dict.node)
-        if _calls_fields(self._as_dict.node):
-            keys = None  # reflective serialisation covers everything
-        for name, _annotation, line in fields:
-            if keys is not None and name not in keys:
-                if self._exempt(name, line):
-                    continue
-                yield self.finding(
-                    self._as_dict.source,
-                    self._as_dict.node.lineno,
-                    f"SearchStats.as_dict omits field {name!r}: the flat dict "
-                    "is what result stores persist, so the counter would read "
-                    "as absent from every saved sweep — add the key",
-                )
         folds_extra = any(
             isinstance(node, ast.Attribute)
             and node.attr == "extra"
@@ -208,36 +178,6 @@ class StatsCompletenessRule(Rule):
                 "SearchStats.as_dict never reads self.extra: engine-specific "
                 "counters in the side table are silently dropped from "
                 "persisted results — fold the extra dict into the output",
-            )
-
-    def _check_from_dict(
-        self, fields: list[tuple[str, str | None, int]]
-    ) -> Iterator[Finding]:
-        if self._from_dict is None:
-            return
-        if not _calls_fields(self._from_dict.node):
-            yield self.finding(
-                self._from_dict.source,
-                self._from_dict.node.lineno,
-                "stats_from_dict does not iterate dataclasses.fields(): a "
-                "hand-rolled loader will silently zero any field added later "
-                "— rebuild it on reflection",
-            )
-            return
-        named = _string_constants(self._from_dict.node)
-        for name, annotation, line in fields:
-            if annotation != "float":
-                continue
-            if name in named:
-                continue
-            if self._exempt(name, line):
-                continue
-            yield self.finding(
-                self._from_dict.source,
-                self._from_dict.node.lineno,
-                f"stats_from_dict's float dispatch misses {name!r}: the field "
-                "is annotated float in SearchStats but would round-trip "
-                "through int() and truncate — add it to the float name set",
             )
 
     def _check_snapshot_path(self) -> Iterator[Finding]:

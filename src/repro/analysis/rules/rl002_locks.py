@@ -24,10 +24,9 @@ deadlock- and race-free, and both are checkable statically:
    ``*_locked`` (the convention for helpers documented as caller-holds-lock)
    are exempt.
 
-Scope: ``repro/service/``, ``repro/core/engine/parallel.py`` and
-``repro/core/engine/threads.py`` — the places with real cross-thread state
-(the thread-sharded executor keeps its lifecycle flag and assignment cache
-behind ``self._lock`` and registers both in its ``_GUARDED_BY``).
+Scope: ``repro/service/`` and ``repro/core/engine/parallel.py`` — the places
+with real cross-thread state (the service's registry, pool, admission queues
+and dispatchers, and the process executor's supervisor).
 """
 
 from __future__ import annotations
@@ -241,9 +240,7 @@ class LockDisciplineRule(Rule):
 
     def applies_to(self, source: SourceFile) -> bool:
         path = source.module_path
-        return "repro/service/" in path or path.endswith(
-            ("repro/core/engine/parallel.py", "repro/core/engine/threads.py")
-        )
+        return "repro/service/" in path or path.endswith("repro/core/engine/parallel.py")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         guarded = _guarded_registry(source.tree)

@@ -29,7 +29,6 @@ from repro.core.planner import (
     ExtendStep,
     PlanStep,
     QueryPlan,
-    ResultCache,
     canonical_query_key,
     plan_queries,
     query_group_key,
@@ -79,7 +78,6 @@ __all__ = [
     "QueryPlan",
     "PlanStep",
     "ExtendStep",
-    "ResultCache",
     "ResultStore",
     "InMemoryResultStore",
     "DiskResultStore",

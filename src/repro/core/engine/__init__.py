@@ -58,20 +58,14 @@ from repro.core.engine.shared import (
 from repro.core.engine.sharding import estimate_subtree_weight, partition_weighted
 from repro.core.engine.tree import SearchTree
 
-# parallel (and threads, which builds on it) must come after the submodules
-# above: they import repro.core.top_down, which re-enters this (then partially
-# initialised) package through repro.core.pattern_graph's engine imports —
-# those resolve because they target already-imported submodules directly.
+# parallel must come after the submodules above: it imports
+# repro.core.top_down, which re-enters this (then partially initialised)
+# package through repro.core.pattern_graph's engine imports — those resolve
+# because they target already-imported submodules directly.
 from repro.core.engine.parallel import (
     ExecutionConfig,
     ParallelSearchExecutor,
     create_parallel_executor,
-)
-from repro.core.engine.threads import (
-    THREAD_BACKEND_MAX_BYTES,
-    ThreadedSearchExecutor,
-    create_search_executor,
-    resolve_backend,
 )
 
 
@@ -94,10 +88,6 @@ __all__ = [
     "ExecutionConfig",
     "ParallelSearchExecutor",
     "create_parallel_executor",
-    "ThreadedSearchExecutor",
-    "create_search_executor",
-    "resolve_backend",
-    "THREAD_BACKEND_MAX_BYTES",
     "NUMBA_AVAILABLE",
     "NumpyKernels",
     "CompiledKernels",

@@ -15,10 +15,7 @@ sorted rank positions.  Two interchangeable implementations exist:
 * :class:`CompiledKernels` — numba ``@njit(nogil=True, cache=True)`` loops.
   One traversal of ``rows`` produces the gathered codes, the size histogram and
   the top-k histogram simultaneously (the prefix limit falls out of the sorted
-  ``rows`` for free — no separate ``searchsorted``), with no temporaries.  The
-  ``nogil`` property is what makes the thread-sharded backend
-  (:mod:`repro.core.engine.threads`) scale: shards counting concurrently drop
-  the GIL for the whole pass.
+  ``rows`` for free — no separate ``searchsorted``), with no temporaries.
 * :class:`NumpyKernels` — a pure-numpy equivalent of every kernel, bit-identical
   by construction.  It is selected automatically when numba is not importable,
   so the tier-1 test suite (and any production install) never *requires* numba.

@@ -67,6 +67,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,9 +96,6 @@ from repro.exceptions import (
 
 _START_METHODS = (None, "fork", "spawn", "forkserver")
 
-#: Valid values of :attr:`ExecutionConfig.backend`.
-BACKEND_CHOICES = ("auto", "process", "thread")
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -110,9 +108,9 @@ class ExecutionConfig:
         with zero parallel overhead; ``0`` means "one per available CPU" —
         resolved via ``len(os.sched_getaffinity(0))`` where the platform
         provides it (so a container or cgroup CPU mask is respected) and
-        ``os.cpu_count()`` otherwise.  Values above 1 enable a sharded parallel
-        executor (falling back to serial when the chosen backend is
-        unavailable).
+        ``os.cpu_count()`` otherwise.  Values above 1 enable the sharded
+        process-pool executor (falling back to serial when the platform cannot
+        provide shared memory or worker processes).
     kernel:
         Counting-kernel implementation for every engine the configuration
         builds (coordinator and shard workers alike): ``"auto"`` (default)
@@ -121,15 +119,6 @@ class ExecutionConfig:
         variable overrides the auto choice); ``"numpy"`` / ``"compiled"`` pin
         an implementation — an unsatisfiable pin raises
         :class:`~repro.exceptions.ConfigurationError` at engine construction.
-    backend:
-        Sharded-search backend for ``workers > 1``: ``"process"`` (default) is
-        the shared-memory worker pool of this module; ``"thread"`` runs shards
-        on a :class:`~repro.core.engine.threads.ThreadedSearchExecutor` —
-        same LPT sharding and state merge, but over the *same* engine arrays
-        with no shm publish, pool spawn or pickling; ``"auto"`` picks threads
-        for datasets below the shared-memory payoff threshold
-        (:data:`~repro.core.engine.threads.THREAD_BACKEND_MAX_BYTES`) and
-        processes above it.
     match_cache_capacity:
         Maximum number of cached pattern matches in each counting engine
         (default :data:`~repro.core.engine.counting.DEFAULT_CACHE_CAPACITY`,
@@ -180,9 +169,11 @@ class ExecutionConfig:
         nothing.
     """
 
+    #: Not settable: sharded search has one backend; benchmark provenance records it.
+    backend: ClassVar[str] = "process"
+
     workers: int = 1
     kernel: str = "auto"
-    backend: str = "process"
     match_cache_capacity: int = DEFAULT_CACHE_CAPACITY
     block_cache_capacity: int | None = None
     sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD
@@ -202,10 +193,6 @@ class ExecutionConfig:
         if self.kernel not in KERNEL_CHOICES:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}: expected one of {KERNEL_CHOICES}"
-            )
-        if self.backend not in BACKEND_CHOICES:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}: expected one of {BACKEND_CHOICES}"
             )
         if self.match_cache_capacity < 0:
             raise DetectionError("match_cache_capacity must be non-negative")
@@ -444,10 +431,6 @@ class ParallelSearchExecutor:
     executor and fall back to the serial in-process path.  ``close()`` is
     idempotent and the executor is a context manager.
     """
-
-    #: Backend discriminator consumed by the session's lifecycle accounting
-    #: (``shm_publishes``/``pool_spawns`` vs ``thread_pool_spawns``).
-    backend = "process"
 
     #: Seconds between supervision rounds (queue drains + health checks) while
     #: waiting on shard results.

@@ -78,13 +78,6 @@ DETECTOR_CLASSES = {
     "upper_bounds": UpperBoundsDetector,
 }
 
-#: PR 4 called the in-memory LRU backend ``ResultCache``; the *name* survives as
-#: an alias of :class:`~repro.core.result_store.InMemoryResultStore`, but the
-#: signatures changed with the pluggable-store refactor: the constructor now
-#: takes only ``capacity`` and every ``lookup``/``insert`` call passes the
-#: dataset fingerprint explicitly (one store may serve many datasets).
-ResultCache = InMemoryResultStore
-
 #: Signature of the optional coverage view handed to :func:`plan_queries`:
 #: group key -> the cached (k_min, k_max) ranges that may seed an extension.
 CoverageFn = Callable[[tuple], Iterable[tuple[int, int]]]
@@ -698,7 +691,7 @@ def _plan_refinements(steps: list[PlanStep], coverage: CoverageFn | None) -> Non
 
 
 # -- cross-query result reuse -------------------------------------------------------
-# The covering-sweep stores (the in-memory LRU this module used to define as
-# ``ResultCache``, the process-wide shared registry and the on-disk backend)
+# The covering-sweep stores (the in-memory LRU, the process-wide shared
+# registry and the on-disk backend)
 # live in :mod:`repro.core.result_store`; the names are re-exported above for
 # backwards compatibility and one-stop imports alongside the planner.

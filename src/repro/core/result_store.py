@@ -2,9 +2,9 @@
 
 The paper's production workload is repeated parameter sweeps over one *published*
 ranking: the same bounds, size thresholds and k ranges are asked again and again —
-by later batches, later sessions and other processes.  PR 4's session-private
-``ResultCache`` already served exact and containment repeats inside one session;
-this module promotes it to an interface with three backends so sweep results (and
+by later batches, later sessions and other processes.  A session-private LRU
+cache already serves exact and containment repeats inside one session; this
+module promotes it to an interface with three backends so sweep results (and
 their resume frontiers) outlive a query, a session and a process:
 
 * :class:`InMemoryResultStore` — the session-private LRU cache (the default, and

@@ -83,8 +83,7 @@ import numpy as np
 
 from repro.core.bounds import BoundSpec
 from repro.core.detector import DetectionParameters, DetectionReport, Detector
-from repro.core.engine.parallel import ExecutionConfig
-from repro.core.engine.threads import create_search_executor
+from repro.core.engine.parallel import ExecutionConfig, create_parallel_executor
 from repro.core.pattern_graph import PatternCounter
 from repro.core.planner import (
     DEFAULT_RESULT_CACHE_CAPACITY,
@@ -323,9 +322,10 @@ class AuditSession:
         with overlapping or nested k ranges execute as one covering k-sweep, and
         the surviving steps run in ascending ``tau_s`` order so the executor's
         per-``tau_s`` shard assignments and the engine's block caches are reused
-        back-to-back.  Finished sweeps land in the session's
-        :class:`~repro.core.planner.ResultCache`; any step (now or in a later
-        batch) whose range is contained in a cached sweep is answered by
+        back-to-back.  Finished sweeps land in the session's result store
+        (:class:`~repro.core.result_store.InMemoryResultStore` by default); any
+        step (now or in a later batch) whose range is contained in a cached
+        sweep is answered by
         :meth:`~repro.core.result_set.DetectionResult.restrict_k` without
         touching the engine.  Every report is bit-identical to a cold
         per-query run; the serving provenance shows up on its stats as
@@ -770,7 +770,7 @@ class AuditSession:
                 # session-wide sums must still account for it.
                 lifecycle = {
                     name: stats.extra[name]
-                    for name in ("shm_publishes", "pool_spawns", "thread_pool_spawns")
+                    for name in ("shm_publishes", "pool_spawns")
                     if name in stats.extra
                 }
                 # The fault counters also survive: the restarts and timeouts
@@ -855,10 +855,8 @@ class AuditSession:
         Created lazily on the first query that actually fans searches out
         (``detector.uses_search`` and more than one worker).  The creating query's
         stats record the lifecycle events — ``shm_publishes`` + ``pool_spawns``
-        for the process backend, ``thread_pool_spawns`` for the thread backend
-        (which publishes no shared memory and spawns no processes) — so summing
-        them over a session's reports counts the setup work the whole session
-        performed, which is how the reuse (and zero-IPC) guarantees are
+        — so summing them over a session's reports counts the setup work the
+        whole session performed, which is how the reuse guarantees are
         asserted and benchmarked.
         """
         if not detector.uses_search:
@@ -881,7 +879,7 @@ class AuditSession:
             # Cooldown over — this query is the probe.  Success below closes the
             # breaker; a probe that cannot even build a pool downgrades to the
             # permanent fallback path.
-        executor = create_search_executor(
+        executor = create_parallel_executor(
             self._counter, self._execution, generation=self._executors_created
         )
         if executor is None:
@@ -894,11 +892,8 @@ class AuditSession:
         if self._degraded_until is not None:
             self._degraded_until = None
             stats.executor_recoveries += 1
-        if executor.backend == "thread":
-            stats.bump("thread_pool_spawns")
-        else:
-            stats.bump("shm_publishes")
-            stats.bump("pool_spawns")
+        stats.bump("shm_publishes")
+        stats.bump("pool_spawns")
         self._executor = executor
         return executor
 

@@ -9,6 +9,7 @@ reproduce those numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 
 @dataclass
@@ -122,38 +123,23 @@ class SearchStats:
         return self.copy().absorb(other)
 
     def as_dict(self) -> dict[str, float]:
-        """Flatten the statistics into a plain dictionary (used by the reporters)."""
-        flat: dict[str, float] = {
-            "nodes_generated": self.nodes_generated,
-            "nodes_evaluated": self.nodes_evaluated,
-            "size_computations": self.size_computations,
-            "full_searches": self.full_searches,
-            "batch_evaluations": self.batch_evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "dense_masks": self.dense_masks,
-            "sparse_masks": self.sparse_masks,
-            "representation_switches": self.representation_switches,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "result_cache_partial_hits": self.result_cache_partial_hits,
-            "extended_k_values": self.extended_k_values,
-            "prefix_extended_k_values": self.prefix_extended_k_values,
-            "implication_hits": self.implication_hits,
-            "refined_queries": self.refined_queries,
-            "plan_merged_queries": self.plan_merged_queries,
-            "worker_restarts": self.worker_restarts,
-            "shard_retries": self.shard_retries,
-            "heartbeat_timeouts": self.heartbeat_timeouts,
-            "query_deadline_exceeded": self.query_deadline_exceeded,
-            "degraded_queries": self.degraded_queries,
-            "executor_recoveries": self.executor_recoveries,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        """Flatten the statistics into a plain dictionary (used by the reporters).
+
+        Fields appear in declaration order, followed by the ``extra`` counters.
+        """
+        flat: dict[str, float] = {name: getattr(self, name) for name, _ in STATS_FIELDS}
         flat.update(self.extra)
         return flat
+
+
+#: ``(name, type)`` of every scalar :class:`SearchStats` field in declaration
+#: order, the type (``int`` or ``float``) taken from the annotation.  Built once
+#: at import; :meth:`SearchStats.as_dict` and ``stats_from_dict`` both read it.
+STATS_FIELDS: tuple[tuple[str, type], ...] = tuple(
+    (name, float if hint is float else int)
+    for name, hint in get_type_hints(SearchStats).items()
+    if name != "extra"
+)
 
 
 def examined_gain(baseline: SearchStats, optimized: SearchStats) -> float:

@@ -56,8 +56,8 @@ class DetectionError(ReproError):
 class ConfigurationError(DetectionError):
     """An :class:`~repro.core.engine.parallel.ExecutionConfig` field is invalid.
 
-    Raised at configuration time — dataclass ``__post_init__`` or kernel/backend
-    resolution — so an unknown ``kernel`` or ``backend`` string (or a
+    Raised at configuration time — dataclass ``__post_init__`` or kernel
+    resolution — so an unknown ``kernel`` string (or a
     ``kernel="compiled"`` request on a machine without numba) fails fast with a
     typed error instead of surfacing deep inside the executor.
     """

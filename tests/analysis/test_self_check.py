@@ -1,7 +1,7 @@
 """The repository lints itself clean — the invariant the CI gate enforces.
 
 This is the test that makes the rules *binding*: a change that re-introduces a
-swallowed exception, drops a SearchStats field from a serde path, writes a
+swallowed exception, drops a SearchStats field from a merge path, writes a
 guarded attribute outside its lock, or lets ``__all__`` drift will fail here
 (and in the blocking ``static-analysis`` CI job) until it is fixed or carries
 a justified suppression.
@@ -27,8 +27,9 @@ def test_repository_lints_clean():
 def test_rl001_anchors_are_present_in_the_real_tree():
     """Guard against the completeness rule going silently inert.
 
-    RL001 only compares anchors it has seen; if ``SearchStats`` or its serde
-    functions were renamed, the rule would pass vacuously.  Pin the anchor
+    RL001 only compares anchors it has seen; if ``SearchStats`` or its
+    ``absorb``/``as_dict``/snapshot hops were renamed, the rule would pass
+    vacuously.  Pin the anchor
     names so a rename shows up as a test failure with a pointer to update the
     rule alongside the code.
     """
@@ -39,7 +40,6 @@ def test_rl001_anchors_are_present_in_the_real_tree():
     rule = StatsCompletenessRule()
     for relative in (
         "src/repro/core/stats.py",
-        "src/repro/core/serialization.py",
         "src/repro/core/engine/counting.py",
         "src/repro/core/pattern_graph.py",
     ):
@@ -49,28 +49,30 @@ def test_rl001_anchors_are_present_in_the_real_tree():
     assert rule._stats_class is not None
     assert rule._absorb is not None
     assert rule._as_dict is not None
-    assert rule._from_dict is not None
     assert rule._snapshot is not None
     assert rule._publish is not None
 
 
-def test_rl002_covers_the_thread_backend():
-    """Guard against the lock rule going silently inert on threads.py.
+def test_rl002_scope_matches_the_modules_with_cross_thread_state():
+    """RL002 selects files by path; pin what it selects in the real tree.
 
-    The thread-sharded executor is real cross-thread state; RL002 is only
-    binding there if (a) the rule's scope matches the module path and (b) the
-    module actually declares its guarded attributes.  Either drifting — a file
-    move, or the ``_GUARDED_BY`` registry being deleted in a refactor — must
-    fail loudly, not leave unguarded writes unchecked.
+    A module moved or deleted out from under the path test would leave the
+    rule checking nothing there without any finding to say so.
     """
-    from repro.analysis.rules.rl002_locks import LockDisciplineRule, _guarded_registry
+    from repro.analysis.rules.rl002_locks import LockDisciplineRule
     from repro.analysis.source import FileCache
 
     cache = FileCache()
     rule = LockDisciplineRule()
-    source = cache.load(str(REPO_ROOT / "src/repro/core/engine/threads.py"))
-    assert source is not None
-    assert rule.applies_to(source), "RL002 scope no longer matches threads.py"
-    registry = _guarded_registry(source.tree)
-    assert registry.get("_closed") == ("_lock",)
-    assert registry.get("_assignments") == ("_lock",)
+    package = REPO_ROOT / "src" / "repro"
+    scoped = set()
+    for path in sorted(package.rglob("*.py")):
+        source = cache.load(str(path))
+        assert source is not None, path
+        if rule.applies_to(source):
+            scoped.add(path.relative_to(package).as_posix())
+    service = {
+        path.relative_to(package).as_posix() for path in (package / "service").rglob("*.py")
+    }
+    assert "service/pool.py" in service
+    assert scoped == service | {"core/engine/parallel.py"}

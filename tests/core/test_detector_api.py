@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import detect_biased_groups
 from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec
+from repro.core.detector import DetectionParameters, Detector
 from repro.core.global_bounds import GlobalBoundsDetector
 from repro.core.pattern import Pattern
 from repro.exceptions import DetectionError
@@ -98,3 +99,29 @@ class TestFacade:
             toy_dataset, toy_ranker(), GlobalBoundSpec(lower_bounds=2), tau_s=4, k_min=4, k_max=5
         )
         assert report.result.total_reported() > 0
+
+
+class TestDetectorSubclassing:
+    def test_detector_without_sweep_fails_on_instantiation(self):
+        class Incomplete(Detector):
+            name = "incomplete"
+
+        parameters = DetectionParameters(GlobalBoundSpec(lower_bounds=2), tau_s=4, k_min=4, k_max=5)
+        with pytest.raises(TypeError, match="_sweep"):
+            Incomplete(parameters)
+
+    def test_legacy_run_override_does_not_satisfy_the_contract(self):
+        class Legacy(Detector):
+            name = "legacy"
+
+            def _run(self, counter, stats):  # pragma: no cover - never called
+                raise AssertionError("the _run override point no longer exists")
+
+        parameters = DetectionParameters(GlobalBoundSpec(lower_bounds=2), tau_s=4, k_min=4, k_max=5)
+        with pytest.raises(TypeError, match="_sweep"):
+            Legacy(parameters)
+
+    def test_base_class_is_abstract(self):
+        parameters = DetectionParameters(GlobalBoundSpec(lower_bounds=2), tau_s=4, k_min=4, k_max=5)
+        with pytest.raises(TypeError):
+            Detector(parameters)

@@ -11,7 +11,9 @@ randomized instances.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ from repro.core.iter_td import IterTDDetector
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
 from repro.core.prop_bounds import PropBoundsDetector
+from repro.core.session import AuditSession, DetectionQuery, detect_biased_groups
 from repro.core.stats import SearchStats
 from repro.core.top_down import SearchState, top_down_search
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
-from repro.exceptions import DetectionError
+from repro.exceptions import DetectionError, QueryTimeoutError
 from repro.ranking.base import PrecomputedRanker
 
 
@@ -275,15 +278,23 @@ class TestExecutionConfig:
 
         with pytest.raises(ConfigurationError):
             ExecutionConfig(kernel="fused")
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(backend="greenlet")
         # ConfigurationError stays inside the DetectionError taxonomy.
         with pytest.raises(DetectionError):
             ExecutionConfig(kernel="fused")
         # The valid values all construct.
         for kernel in ("auto", "numpy"):
-            for backend in ("auto", "process", "thread"):
-                assert ExecutionConfig(kernel=kernel, backend=backend).backend == backend
+            assert ExecutionConfig(kernel=kernel).kernel == kernel
+        # Sharded search has one backend: readable, but not a setting.
+        assert ExecutionConfig().backend == "process"
+        for backend in ("process", "thread"):
+            with pytest.raises(TypeError):
+                ExecutionConfig(backend=backend)
+
+    def test_backend_is_a_class_constant_not_a_field(self):
+        assert "backend" not in {spec.name for spec in dataclasses.fields(ExecutionConfig)}
+        assert ExecutionConfig.backend == "process"
+        # Copies made through the dataclass machinery keep reading the constant.
+        assert dataclasses.replace(ExecutionConfig(), workers=2).backend == "process"
 
     def test_cache_capacity_reaches_engine(self, synthetic_small, synthetic_small_ranking):
         execution = ExecutionConfig(match_cache_capacity=4, block_cache_capacity=4)
@@ -386,11 +397,18 @@ class TestSerialFallback:
         naive = NaiveCounter(dataset, ranking)
         assert create_parallel_executor(naive, ExecutionConfig(workers=2)) is None
 
+    def test_single_worker_config_builds_no_executor(self):
+        dataset, ranking = _instance(37, 50, [2, 2])
+        counter = PatternCounter(dataset, ranking)
+        assert create_parallel_executor(counter, ExecutionConfig(workers=1)) is None
+
 
 # -- executor parity -----------------------------------------------------------------
 PARITY_INSTANCES = [
     (41, 64, [2, 3, 2], 0.8),
     (57, 90, [3, 2, 2, 2], 1.2),
+    (221, 64, [2, 3, 2], 0.8),
+    (222, 90, [3, 2, 2, 2], 1.2),
 ]
 
 
@@ -519,3 +537,108 @@ class TestParallelExecutorDirect:
         executor.close()  # idempotent
         with pytest.raises(DetectionError):
             executor.search(GlobalBoundSpec(lower_bounds=2.0), 5, 2, SearchStats())
+
+    def test_factory_builds_a_process_executor_usable_as_context_manager(self):
+        dataset, ranking = _instance(76, 40, [2, 2], 1.0)
+        executor = create_parallel_executor(
+            PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
+        )
+        assert isinstance(executor, parallel_module.ParallelSearchExecutor)
+        with executor:
+            assert executor.workers == 2
+            assert executor.healthy and not executor.closed
+        assert executor.closed and not executor.healthy
+
+    def test_stats_record_sharding_and_worker_engine_work(self):
+        dataset, ranking = _instance(77, 70, [2, 3, 2], 1.0)
+        stats = SearchStats()
+        with create_parallel_executor(
+            PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
+        ) as executor:
+            executor.search(GlobalBoundSpec(lower_bounds=2.0), 25, 2, stats)
+        assert stats.extra.get("parallel_searches") == 1
+        assert stats.extra.get("parallel_shards", 0) >= 1
+        # The workers' engines did the counting, surfaced as worker_* deltas.
+        assert any(name.startswith("worker_") for name in stats.extra)
+
+    def test_expired_deadline_raises_timeout_and_executor_stays_healthy(self):
+        dataset, ranking = _instance(78, 80, [2, 3, 2, 2], 1.0)
+        counter = PatternCounter(dataset, ranking)
+        bound = GlobalBoundSpec(lower_bounds=2.0)
+        reference = top_down_search(counter, bound, 40, 2, SearchStats())
+        with create_parallel_executor(
+            PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
+        ) as executor:
+            stats = SearchStats()
+            with pytest.raises(QueryTimeoutError):
+                executor.search(bound, 40, 2, stats, deadline=time.monotonic() - 1.0)
+            assert stats.query_deadline_exceeded == 1
+            assert executor.healthy
+            # The aborted search poisons nothing: the next one is exact.
+            state = executor.search(bound, 40, 2, SearchStats())
+            assert state.below == reference.below
+            assert state.expanded == reference.expanded
+
+
+# -- session: planner-served batches and frontier extension ---------------------------
+class TestParallelSession:
+    STEP = GlobalBoundSpec(lower_bounds=step_lower_bounds({1: 1.0, 10: 3.0, 30: 6.0}))
+    PROP = ProportionalBoundSpec(alpha=0.9)
+    SHARDED = ExecutionConfig(workers=2)
+
+    def test_run_many_bit_identical_with_one_pool(self):
+        dataset, ranking = _instance(231, 64, [2, 3, 2], 0.8)
+        k_max = 63
+        queries = [
+            DetectionQuery(GlobalBoundSpec(lower_bounds=2.0), 2, 2, k_max),
+            DetectionQuery(self.PROP, 2, 2, k_max),
+            DetectionQuery(self.STEP, 2, 2, k_max, "iter_td"),
+            DetectionQuery(self.STEP, 2, 2, k_max, "global_bounds"),
+            DetectionQuery(self.PROP, 3, 5, k_max, "prop_bounds"),
+            DetectionQuery(self.STEP, 3, 2, k_max, "iter_td"),
+        ]
+        with AuditSession(dataset, ranking) as serial_session:
+            expected = serial_session.run_many(queries)
+        with AuditSession(dataset, ranking, execution=self.SHARDED) as session:
+            reports = session.run_many(queries)
+        assert [report.result for report in reports] == [
+            report.result for report in expected
+        ]
+        totals = SearchStats()
+        for report in reports:
+            totals.absorb(report.stats)
+        # One shared-memory publish and one pool for the whole batch.
+        assert totals.extra.get("shm_publishes") == 1
+        assert totals.extra.get("pool_spawns") == 1
+
+    @pytest.mark.parametrize(
+        "algorithm,bound",
+        [("iter_td", STEP), ("global_bounds", STEP), ("prop_bounds", PROP)],
+    )
+    def test_frontier_extension_bit_identical(self, algorithm, bound):
+        dataset, ranking = _instance(233, 64, [2, 3, 2], 0.9)
+        prefix = DetectionQuery(bound, 2, 2, 30, algorithm)
+        overlapping = DetectionQuery(bound, 2, 5, 55, algorithm)
+        with AuditSession(dataset, ranking, execution=self.SHARDED) as session:
+            session.run(prefix)
+            extended = session.run(overlapping)
+        cold = detect_biased_groups(
+            dataset, ranking, bound, 2, 5, 55, algorithm=algorithm
+        )
+        assert extended.result == cold.result
+        assert extended.stats.result_cache_partial_hits == 1
+        assert extended.stats.extended_k_values == 25
+
+    def test_session_deadline_surfaces_timeout_and_recovers(self):
+        dataset, ranking = _instance(234, 80, [2, 3, 2, 2], 1.0)
+        query = DetectionQuery(GlobalBoundSpec(lower_bounds=2.0), 2, 2, 79)
+        with AuditSession(dataset, ranking, execution=self.SHARDED) as session:
+            with pytest.raises(QueryTimeoutError):
+                session.run(query, query_deadline=1e-9)
+            # The session (and its pool) keeps serving afterwards.
+            report = session.run(query)
+        cold = detect_biased_groups(
+            dataset, ranking, query.bound, 2, 2, 79,
+            algorithm=query.resolved_algorithm(),
+        )
+        assert report.result == cold.result
